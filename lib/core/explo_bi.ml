@@ -1,3 +1,2 @@
 let solve inst ~period =
-  Loop.minimise_latency_under_period ~gen:Loop.gen_three
-    ~select:Loop.select_bi inst ~period
+  Loop.minimise_latency_under_period ~arity:Three ~rule:Bi inst ~period

@@ -1,64 +1,26 @@
-
-type gen = Split.t -> j:int -> Split.candidate list
-type select = Split.candidate list -> Split.candidate option
-
-let better_mono (a : Split.candidate) (b : Split.candidate) =
-  match compare a.max_piece_cycle b.max_piece_cycle with
-  | 0 -> a.dlatency < b.dlatency
-  | c -> c < 0
-
-let better_bi (a : Split.candidate) (b : Split.candidate) =
-  match compare a.ratio b.ratio with
-  | 0 -> a.max_piece_cycle < b.max_piece_cycle
-  | c -> c < 0
-
-let select_with better = function
-  | [] -> None
-  | first :: rest ->
-    Some (List.fold_left (fun acc c -> if better c acc then c else acc) first rest)
-
-let select_mono = select_with better_mono
-let select_bi = select_with better_bi
-
-let gen_two config ~j = Split.two_split_candidates config ~j
-
-let gen_three config ~j = Split.three_split_candidates config ~j
-
-let gen_three_with_fallback config ~j =
-  match Split.three_split_candidates config ~j with
-  | [] -> Split.two_split_candidates config ~j
-  | candidates -> candidates
-
 let threshold_met = Pipeline_util.Tol.meets
 
-let minimise_latency_under_period ?(latency_cap = infinity) ~gen ~select inst
-    ~period =
+let refine_under_period ?(latency_cap = infinity) ?(visit = ignore) ~arity
+    ~rule config ~period =
   let rec refine config =
+    visit config;
     if threshold_met (Split.period config) period then
       Some (Split.to_solution config)
-    else begin
+    else
       let j = Split.bottleneck config in
-      let candidates =
-        List.filter
-          (fun (c : Split.candidate) -> threshold_met c.latency latency_cap)
-          (gen config ~j)
-      in
-      match select candidates with
+      match Split.best config ~j ~arity ~rule ~cap:latency_cap with
       | None -> None (* bottleneck cannot be improved: the period is stuck *)
       | Some cand -> refine (Split.apply config cand)
-    end
   in
-  refine (Split.initial inst)
+  refine config
 
-let minimise_period_under_latency ~gen ~select inst ~latency =
+let minimise_latency_under_period ?latency_cap ~arity ~rule inst ~period =
+  refine_under_period ?latency_cap ~arity ~rule (Split.initial inst) ~period
+
+let minimise_period_under_latency ~arity ~rule inst ~latency =
   let rec refine config =
     let j = Split.bottleneck config in
-    let candidates =
-      List.filter
-        (fun (c : Split.candidate) -> threshold_met c.latency latency)
-        (gen config ~j)
-    in
-    match select candidates with
+    match Split.best config ~j ~arity ~rule ~cap:latency with
     | None -> Split.to_solution config
     | Some cand -> refine (Split.apply config cand)
   in

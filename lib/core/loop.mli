@@ -4,28 +4,24 @@
     latency-optimal configuration (everything on the fastest processor)
     and repeatedly split the current bottleneck interval, handing stages
     to the next fastest unused processor(s), until the break condition.
+    Each step retains {!Split.best} of the bottleneck for the heuristic's
+    split arity and selection rule.
 
     {ul
-    {- {e Period fixed} (H1, H2a, H2b, H3): split while the period exceeds
-       the threshold; succeed iff it is reached. The selection rule and an
-       optional latency cap (H3) are parameters.}
-    {- {e Latency fixed} (H4, H5): split while improving candidates exist
+    {- {e Period fixed} (H1–H4, and the 3-exploration extensions of
+       {!Explo_fallback}): split while the period exceeds the threshold;
+       succeed iff it is reached. H4 also caps the latency.}
+    {- {e Latency fixed} (H5, H6): split while improving candidates exist
        that keep the latency within the threshold, driving the period as
        low as possible; succeed iff the optimal latency itself respects
        the threshold.}} *)
 
 open Pipeline_model
 
-type gen = Split.t -> j:int -> Split.candidate list
-(** Candidate generator for the bottleneck interval [j]. *)
-
-type select = Split.candidate list -> Split.candidate option
-(** Retain one candidate of a non-empty filtered list ([None] to stop). *)
-
 val minimise_latency_under_period :
   ?latency_cap:float ->
-  gen:gen ->
-  select:select ->
+  arity:Split.arity ->
+  rule:Split.rule ->
   Instance.t ->
   period:float ->
   Solution.t option
@@ -34,31 +30,24 @@ val minimise_latency_under_period :
     Returns the final solution when the period threshold is reached,
     [None] otherwise (failure). *)
 
+val refine_under_period :
+  ?latency_cap:float ->
+  ?visit:(Split.t -> unit) ->
+  arity:Split.arity ->
+  rule:Split.rule ->
+  Split.t ->
+  period:float ->
+  Solution.t option
+(** {!minimise_latency_under_period} from a given configuration instead
+    of {!Split.initial}. [visit] sees every configuration the loop tests
+    against the period threshold, in order: the starting one, then one
+    per applied split. *)
+
 val minimise_period_under_latency :
-  gen:gen -> select:select -> Instance.t -> latency:float -> Solution.t option
+  arity:Split.arity ->
+  rule:Split.rule ->
+  Instance.t ->
+  latency:float ->
+  Solution.t option
 (** Splitting loop of the latency-fixed family. [None] when even the
     single-processor optimum violates the latency threshold. *)
-
-val select_mono : select
-(** Minimise the largest piece cycle-time ([max(period(j), period(j')) ]
-    in the paper); ties broken by smaller latency increase. *)
-
-val select_bi : select
-(** Minimise the paper's [max_i Δlatency/Δperiod(i)] ratio; ties broken by
-    smaller largest piece cycle-time. *)
-
-val gen_two : gen
-(** {!Split.two_split_candidates}. *)
-
-val gen_three : gen
-(** {!Split.three_split_candidates}. Pure 3-way exploration, as measured
-    in the paper: when the bottleneck interval has fewer than 3 stages or
-    fewer than two processors remain, the heuristic is stuck — which is
-    why the paper's Table 1 shows much higher failure thresholds for the
-    3-exploration heuristics than for the splitting ones. *)
-
-val gen_three_with_fallback : gen
-(** {!Split.three_split_candidates}, falling back to 2-way splits when the
-    interval is too short or only one processor remains. Not in the
-    paper: an extension evaluated by the ablation bench (cf. DESIGN.md,
-    interpretation 2). *)

@@ -1,3 +1,2 @@
 let solve inst ~latency =
-  Loop.minimise_period_under_latency ~gen:Loop.gen_two ~select:Loop.select_bi
-    inst ~latency
+  Loop.minimise_period_under_latency ~arity:Two ~rule:Bi inst ~latency

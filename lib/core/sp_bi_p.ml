@@ -6,14 +6,33 @@ let c_bisect =
   Obs.Counter.make ~doc:"latency-cap bisection attempts in Sp_bi_p.solve"
     "core.sp_bi_p.bisect_iters"
 
-let attempt inst ~period ~cap =
-  Loop.minimise_latency_under_period ~latency_cap:cap ~gen:Loop.gen_two
-    ~select:Loop.select_bi inst ~period
-
 let solve inst ~period =
-  match attempt inst ~period ~cap:infinity with
+  let trail = ref [] in
+  match
+    Loop.refine_under_period
+      ~visit:(fun config -> trail := config :: !trail)
+      ~arity:Two ~rule:Bi (Split.initial inst) ~period
+  with
   | None -> None
   | Some unconstrained ->
+    let trail = Array.of_list (List.rev !trail) in
+    (* A capped run makes the unconstrained run's choice at every step
+       whose chosen split meets the cap: the first-wins selection over a
+       filtered list keeps the unfiltered winner whenever it survives
+       the filter. So each attempt resumes from the last configuration
+       the two runs share, with the same decisions — and the same
+       result — as a run from scratch. *)
+    let attempt cap =
+      let k = ref 0 in
+      while
+        !k + 1 < Array.length trail
+        && Pipeline_util.Tol.meets (Split.latency trail.(!k + 1)) cap
+      do
+        incr k
+      done;
+      Loop.refine_under_period ~latency_cap:cap ~arity:Two ~rule:Bi trail.(!k)
+        ~period
+    in
     let optimal_latency = Instance.optimal_latency inst in
     let best = ref unconstrained in
     (* Latency is a sum of interval contributions, so there is no small
@@ -23,7 +42,7 @@ let solve inst ~period =
        midpoints, convergence test and probe budget as the historical
        25-iteration loop — bit-identical results, fewer probes. *)
     let feasible cap =
-      match attempt inst ~period ~cap with
+      match attempt cap with
       | Some sol ->
         if sol.Solution.latency < !best.Solution.latency then best := sol;
         true

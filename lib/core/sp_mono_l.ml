@@ -1,3 +1,2 @@
 let solve inst ~latency =
-  Loop.minimise_period_under_latency ~gen:Loop.gen_two ~select:Loop.select_mono
-    inst ~latency
+  Loop.minimise_period_under_latency ~arity:Two ~rule:Mono inst ~latency

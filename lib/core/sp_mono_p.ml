@@ -1,3 +1,2 @@
 let solve inst ~period =
-  Loop.minimise_latency_under_period ~gen:Loop.gen_two ~select:Loop.select_mono
-    inst ~period
+  Loop.minimise_latency_under_period ~arity:Two ~rule:Mono inst ~period

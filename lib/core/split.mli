@@ -10,13 +10,15 @@
     which candidate split they retain (pure period improvement, or the
     latency-per-period-improvement ratio).
 
-    This module generates, for a configuration and a target interval, all
-    {e improving} candidates — those whose every piece has a cycle-time
-    strictly below the interval's current cycle-time (a non-improving
-    piece makes both the period argument and the paper's
-    [Δlatency/Δperiod] ratio meaningless, cf. DESIGN.md) — with their
-    global period, latency and ratio precomputed in O(1) amortised per
-    candidate.
+    A split of an interval is an {e improving} candidate when every
+    piece has a cycle-time strictly below the interval's current
+    cycle-time (a non-improving piece makes both the period argument and
+    the paper's [Δlatency/Δperiod] ratio meaningless, cf. DESIGN.md).
+    {!best} walks the cut positions and processor assignments once,
+    scores each improving candidate as scalars, drops those over a
+    latency cap and keeps only the running winner; it builds one
+    {!candidate}, the winner's. {!candidates} lists the same enumeration
+    in the same order, for tests and inspection.
 
     Restricted to communication-homogeneous platforms (the paper's
     setting): the constructor rejects other platforms. *)
@@ -66,17 +68,37 @@ val length : t -> int -> int
 val bottleneck : t -> int
 (** Interval with the largest cycle-time (first on ties). *)
 
-val two_split_candidates : t -> j:int -> candidate list
-(** All improving 2-way splits of interval [j]: every cut position, the
-    kept/given halves in both orders, the next unused processor taking the
-    given half. Empty when interval [j] is a singleton or no processor is
-    left. *)
+type arity =
+  | Two           (** 2-way splits: every cut position, the kept/given
+                      halves in both orders, the next unused processor
+                      taking the given half. None when the interval is a
+                      singleton or no processor is left. *)
+  | Three         (** 3-way splits: every cut pair, the interval's
+                      processor keeping any one of the three parts, the
+                      next two unused processors taking the other two in
+                      both orders. None when the interval has fewer than
+                      3 stages or fewer than 2 processors are left. *)
+  | Three_or_two  (** [Three], or [Two] when no improving 3-way split
+                      exists (whatever the latency cap). *)
 
-val three_split_candidates : t -> j:int -> candidate list
-(** All improving 3-way splits: every cut pair, processor [j] keeping any
-    one of the three parts, the next two unused processors taking the
-    other two in both orders. Empty when the interval has fewer than 3
-    stages or fewer than 2 processors are left. *)
+type rule =
+  | Mono  (** smallest largest-piece cycle-time ([max(period(j),
+              period(j'))] in the paper); ties to the smaller latency
+              increase *)
+  | Bi    (** smallest [max_i Δlatency/Δperiod(i)] ratio; ties to the
+              smaller largest-piece cycle-time *)
+
+val best :
+  t -> j:int -> arity:arity -> rule:rule -> cap:float -> candidate option
+(** The improving split of interval [j] that [rule] ranks first among
+    those whose latency meets [cap] ({!Pipeline_util.Tol.meets}; [cap =
+    infinity] keeps all), the earliest in generation order on a full tie.
+    Equal, field for field, to selecting over the [cap]-filtered
+    {!candidates}, but builds a {!candidate} record only for the
+    winner. [None] when no candidate is left. *)
+
+val candidates : t -> j:int -> arity:arity -> candidate list
+(** Every improving split of interval [j], in generation order. *)
 
 val apply : t -> candidate -> t
 (** Commit a candidate (must have been generated from this configuration). *)

@@ -172,11 +172,11 @@ let require_comm_hom t who =
 
 (* Unchecked primitives; [_u] = no validation. *)
 
-let din_u t d =
+let[@inline] din_u t d =
   if t.memo && t.comm_hom then t.din_t.(d)
   else Application.delta t.app (d - 1) /. t.b
 
-let dout_u t e =
+let[@inline] dout_u t e =
   if t.memo && t.comm_hom then t.dout_t.(e)
   else Application.delta t.app e /. t.b
 
@@ -314,6 +314,48 @@ let cycle t ~d ~e ~u =
   check_interval t "Cost.cycle" d e;
   check_proc t "Cost.cycle" u;
   cycle_u t d e u
+
+(* Row fills for scans that need many contributions of one interval
+   family (the splitting heuristics' candidate search): one validation
+   per call, then the expression [contrib_u] evaluates, element by
+   element. *)
+let check_fill who dst pos count =
+  if pos < 0 || pos + count > Array.length dst then
+    invalid_arg (who ^ ": destination too small")
+
+let contribs_from t ~d ~e_max ~u dst ~pos =
+  require_comm_hom t "Cost.contribs_from";
+  if e_max >= d then begin
+    check_interval t "Cost.contribs_from" d e_max;
+    check_proc t "Cost.contribs_from" u;
+    check_fill "Cost.contribs_from" dst pos (e_max - d + 1);
+    let din = din_u t d and s = t.speeds.(u) in
+    for e = d to e_max do
+      Array.unsafe_set dst (pos + e - d) (din +. (ws_u t d e /. s))
+    done
+  end
+
+let contribs_to t ~d_min ~e ~u dst ~pos =
+  require_comm_hom t "Cost.contribs_to";
+  if e >= d_min then begin
+    check_interval t "Cost.contribs_to" d_min e;
+    check_proc t "Cost.contribs_to" u;
+    check_fill "Cost.contribs_to" dst pos (e - d_min + 1);
+    let s = t.speeds.(u) in
+    for d = d_min to e do
+      Array.unsafe_set dst (pos + d - d_min) (din_u t d +. (ws_u t d e /. s))
+    done
+  end
+
+let douts t ~e_min ~e_max dst ~pos =
+  require_comm_hom t "Cost.douts";
+  if e_max >= e_min then begin
+    if e_min < 0 || e_max > t.n then invalid_arg "Cost.douts: invalid stage index";
+    check_fill "Cost.douts" dst pos (e_max - e_min + 1);
+    for e = e_min to e_max do
+      Array.unsafe_set dst (pos + e - e_min) (dout_u t e)
+    done
+  end
 
 let period_lower_bound t =
   let s_max = Platform.speed t.platform (Platform.fastest t.platform) in

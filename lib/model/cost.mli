@@ -112,7 +112,24 @@ val contrib : t -> d:int -> e:int -> u:int -> float
 
 val cycle : t -> d:int -> e:int -> u:int -> float
 (** [δ_{d-1}/b + W(d,e)/s_u + δ_e/b] — the interval's cycle-time,
-    equation (1)'s per-interval term. Memoised per [(d, e, u)]. *)
+    equation (1)'s per-interval term. Memoised per [(d, e, u)]. Always
+    bit-identical to [contrib t ~d ~e ~u +. dout t ~e]: the same sum,
+    in the same association order. *)
+
+val contribs_from :
+  t -> d:int -> e_max:int -> u:int -> float array -> pos:int -> unit
+(** [contribs_from t ~d ~e_max ~u dst ~pos] stores [contrib t ~d ~e ~u]
+    at [dst.(pos + e - d)] for [e = d..e_max] (nothing when [e_max < d]):
+    a scan's worth of contributions for one validation. *)
+
+val contribs_to :
+  t -> d_min:int -> e:int -> u:int -> float array -> pos:int -> unit
+(** [contribs_to t ~d_min ~e ~u dst ~pos] stores [contrib t ~d ~e ~u] at
+    [dst.(pos + d - d_min)] for [d = d_min..e]. *)
+
+val douts : t -> e_min:int -> e_max:int -> float array -> pos:int -> unit
+(** [douts t ~e_min ~e_max dst ~pos] stores [dout t ~e] at
+    [dst.(pos + e - e_min)] for [e = e_min..e_max]. *)
 
 val period_lower_bound : t -> float
 (** The coarse relaxation used to seed threshold sweeps: every stage

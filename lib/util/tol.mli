@@ -20,6 +20,11 @@ val meets : float -> float -> bool
     to [accept_rel] relative slack. The single acceptance test used by
     every heuristic's threshold check (periods and latencies alike). *)
 
+val ceiling : float -> float
+(** [ceiling threshold] — the largest value that {!meets} [threshold]:
+    [meets value threshold] is exactly [value <= ceiling threshold], so
+    a loop testing many values against one threshold can hoist it. *)
+
 val bisect_rel : float
 (** [1e-12] — the convergence width for bisections, three orders of
     magnitude below {!accept_rel} so a converged bracket cannot straddle

@@ -47,7 +47,7 @@ let test_split_rejects_het_platform () =
 let test_split_two_candidates_improving () =
   let inst = Helpers.small_instance () in
   let config = Split.initial inst in
-  let candidates = Split.two_split_candidates config ~j:0 in
+  let candidates = Split.candidates config ~j:0 ~arity:Split.Two in
   Alcotest.(check bool) "some candidates" true (candidates <> []);
   List.iter
     (fun (c : Split.candidate) ->
@@ -62,7 +62,7 @@ let test_split_two_candidates_improving () =
 let test_split_apply_consistent_with_metrics () =
   let inst = Helpers.small_instance () in
   let config = Split.initial inst in
-  match Split.two_split_candidates config ~j:0 with
+  match Split.candidates config ~j:0 ~arity:Split.Two with
   | [] -> Alcotest.fail "expected candidates"
   | cand :: _ ->
     let config' = Split.apply config cand in
@@ -79,9 +79,9 @@ let test_split_singleton_no_candidates () =
   let inst = Instance.make app (Helpers.small_platform ()) in
   let config = Split.initial inst in
   Alcotest.(check bool) "no 2-splits" true
-    (Split.two_split_candidates config ~j:0 = []);
+    (Split.candidates config ~j:0 ~arity:Split.Two = []);
   Alcotest.(check bool) "no 3-splits" true
-    (Split.three_split_candidates config ~j:0 = [])
+    (Split.candidates config ~j:0 ~arity:Split.Three = [])
 
 let test_split_three_needs_two_procs () =
   let app = Application.uniform ~n:6 ~work:5. ~delta:1. in
@@ -90,9 +90,9 @@ let test_split_three_needs_two_procs () =
   let config = Split.initial inst in
   (* Only one unused processor: 3-split impossible, 2-split fine. *)
   Alcotest.(check bool) "no 3-splits" true
-    (Split.three_split_candidates config ~j:0 = []);
+    (Split.candidates config ~j:0 ~arity:Split.Three = []);
   Alcotest.(check bool) "has 2-splits" true
-    (Split.two_split_candidates config ~j:0 <> [])
+    (Split.candidates config ~j:0 ~arity:Split.Two <> [])
 
 let prop_split_candidates_all_improve =
   Helpers.qtest "every generated candidate strictly improves its interval"
@@ -104,8 +104,8 @@ let prop_split_candidates_all_improve =
       let old_cycle = Split.cycle config j in
       List.for_all
         (fun (c : Split.candidate) -> c.Split.max_piece_cycle < old_cycle)
-        (Split.two_split_candidates config ~j
-        @ Split.three_split_candidates config ~j))
+        (Split.candidates config ~j ~arity:Split.Two
+        @ Split.candidates config ~j ~arity:Split.Three))
 
 let prop_split_candidate_metrics_exact =
   Helpers.qtest "candidate period/latency match a full re-evaluation" gen_seed
@@ -118,7 +118,196 @@ let prop_split_candidate_metrics_exact =
           let sol = Split.to_solution (Split.apply config c) in
           Helpers.feq ~eps:1e-9 sol.Solution.period c.Split.period
           && Helpers.feq ~eps:1e-9 sol.Solution.latency c.Split.latency)
-        (Split.two_split_candidates config ~j))
+        (Split.candidates config ~j ~arity:Split.Two))
+
+(* ------------------------------------------------------------------ *)
+(* Fused split search vs the list enumeration                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The selection the heuristics made before the search was fused: keep
+   the candidates meeting the latency cap, then fold, replacing the
+   running choice only with a strictly better candidate (first wins
+   ties). *)
+let reference_best config ~j ~arity ~rule ~cap =
+  let better (a : Split.candidate) (b : Split.candidate) =
+    match rule with
+    | Split.Mono -> (
+      match compare a.max_piece_cycle b.max_piece_cycle with
+      | 0 -> a.dlatency < b.dlatency
+      | c -> c < 0)
+    | Split.Bi -> (
+      match compare a.ratio b.ratio with
+      | 0 -> a.max_piece_cycle < b.max_piece_cycle
+      | c -> c < 0)
+  in
+  match
+    List.filter
+      (fun (c : Split.candidate) -> Pipeline_util.Tol.meets c.latency cap)
+      (Split.candidates config ~j ~arity)
+  with
+  | [] -> None
+  | first :: rest ->
+    Some (List.fold_left (fun acc c -> if better c acc then c else acc) first rest)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_candidate (a : Split.candidate) (b : Split.candidate) =
+  a.target = b.target && a.enrolled = b.enrolled
+  && List.equal
+       (fun (p : Split.piece) (q : Split.piece) ->
+         p.first = q.first && p.last = q.last && p.proc = q.proc
+         && same_bits p.cycle q.cycle)
+       a.pieces b.pieces
+  && same_bits a.max_piece_cycle b.max_piece_cycle
+  && same_bits a.period b.period && same_bits a.latency b.latency
+  && same_bits a.dlatency b.dlatency && same_bits a.ratio b.ratio
+
+(* Tie-heavy instances: works in 1..3, deltas in 0..2 and speeds in
+   {1, 2}, so many splits share their cycle-times and latencies and the
+   first-wins rule decides. *)
+let tie_instance seed =
+  let rng = Pipeline_util.Rng.create seed in
+  let n = 1 + Pipeline_util.Rng.int rng 10 in
+  let p = 1 + Pipeline_util.Rng.int rng 6 in
+  let draw lo hi = float_of_int (Pipeline_util.Rng.int_in rng lo hi) in
+  let works = Array.init n (fun _ -> draw 1 3) in
+  let deltas = Array.init (n + 1) (fun _ -> draw 0 2) in
+  let speeds = Array.init p (fun _ -> draw 1 2) in
+  Instance.make ~seed (Application.make ~deltas works)
+    (Platform.comm_homogeneous ~bandwidth:1. speeds)
+
+(* Fractional works, deltas and speeds: sums of contributions round, so
+   a score evaluated in another association order would differ in its
+   last bits and, on near-ties, pick another split. *)
+let fractional_instance seed =
+  let rng = Pipeline_util.Rng.create seed in
+  let n = 3 + Pipeline_util.Rng.int rng 14 in
+  let p = 3 + Pipeline_util.Rng.int rng 5 in
+  let draw hi = 0.1 +. Pipeline_util.Rng.float rng hi in
+  let works = Array.init n (fun _ -> draw 10.) in
+  let deltas = Array.init (n + 1) (fun _ -> draw 3.) in
+  let speeds = Array.init p (fun _ -> draw 5.) in
+  Instance.make ~seed (Application.make ~deltas works)
+    (Platform.comm_homogeneous ~bandwidth:3. speeds)
+
+(* A configuration reached from the initial one by 0–3 random splits of
+   random intervals (any improving candidate, not only the selected
+   one), so targets other than the first interval and processors deeper
+   in the speed order are exercised. *)
+let random_config inst seed =
+  let rng = Pipeline_util.Rng.create (seed + 1) in
+  let rec walk config steps =
+    if steps = 0 then config
+    else
+      let j = Pipeline_util.Rng.int rng (Split.intervals config) in
+      let arity = if Pipeline_util.Rng.bool rng then Split.Two else Split.Three in
+      match Split.candidates config ~j ~arity with
+      | [] -> config
+      | cands ->
+        let c = List.nth cands (Pipeline_util.Rng.int rng (List.length cands)) in
+        walk (Split.apply config c) (steps - 1)
+  in
+  walk (Split.initial inst) (Pipeline_util.Rng.int rng 4)
+
+(* The largest cap whose acceptance ceiling is at most [l]: a split of
+   latency exactly [l] just passes it, one a bit above just fails, so
+   the latency must be evaluated to the last bit. *)
+let boundary_cap l =
+  let ceiling = Pipeline_util.Tol.ceiling in
+  let c = ref (l /. (1. +. Pipeline_util.Tol.accept_rel)) in
+  while ceiling !c > l do c := Float.pred !c done;
+  while ceiling (Float.succ !c) <= l do c := Float.succ !c done;
+  !c
+
+let fused_matches_reference inst seed =
+  let config = random_config inst seed in
+  List.for_all
+    (fun j ->
+      List.for_all
+        (fun arity ->
+          List.for_all
+            (fun rule ->
+              (* Caps: none; and around the latencies the unconstrained
+                 search and the enumeration reach, down to caps whose
+                 acceptance ceiling is exactly a split's latency. *)
+              let near =
+                match reference_best config ~j ~arity ~rule ~cap:infinity with
+                | None -> []
+                | Some c ->
+                  let l = c.latency in
+                  [ l; boundary_cap l; Float.pred (boundary_cap l); l *. 0.999 ]
+              in
+              let spread =
+                List.filteri
+                  (fun i _ -> i mod 7 = 3)
+                  (List.map
+                     (fun (c : Split.candidate) -> boundary_cap c.latency)
+                     (Split.candidates config ~j ~arity))
+              in
+              List.for_all
+                (fun cap ->
+                  let fused = Split.best config ~j ~arity ~rule ~cap in
+                  let reference = reference_best config ~j ~arity ~rule ~cap in
+                  Option.equal same_candidate fused reference)
+                ((infinity :: near) @ spread))
+            [ Split.Mono; Split.Bi ])
+        [ Split.Two; Split.Three; Split.Three_or_two ])
+    (List.init (Split.intervals config) Fun.id)
+
+let prop_best_matches_reference =
+  Helpers.qtest ~count:150 "best = first-wins select over filtered list"
+    gen_seed (fun seed ->
+      fused_matches_reference (Helpers.random_instance seed) seed)
+
+let prop_best_matches_reference_ties =
+  Helpers.qtest ~count:150 "best = reference on tie-heavy instances" gen_seed
+    (fun seed -> fused_matches_reference (tie_instance seed) seed)
+
+let prop_best_matches_reference_fractional =
+  Helpers.qtest ~count:150 "best = reference on fractional instances" gen_seed
+    (fun seed -> fused_matches_reference (fractional_instance seed) seed)
+
+let test_split_generation_order () =
+  (* Equal stages on equal processors: every split improves, so the
+     list shows the whole enumeration order the first-wins rule relies
+     on. *)
+  let app = Application.uniform ~n:3 ~work:6. ~delta:0. in
+  let inst = Instance.make app (Platform.comm_homogeneous ~bandwidth:1. [| 1.; 1.; 1. |]) in
+  let shape arity =
+    List.map
+      (fun (c : Split.candidate) ->
+        List.map (fun (p : Split.piece) -> (p.last, p.proc)) c.pieces)
+      (Split.candidates (Split.initial inst) ~j:0 ~arity)
+  in
+  let pair = Alcotest.(list (list (pair int int))) in
+  Alcotest.check pair "2-way: cuts in order, kept half first"
+    [ [ (1, 0); (3, 1) ]; [ (1, 1); (3, 0) ]; [ (2, 0); (3, 1) ]; [ (2, 1); (3, 0) ] ]
+    (shape Split.Two);
+  Alcotest.check pair "3-way: the six assignments in order"
+    (List.map
+       (fun (a, b, c) -> [ (1, a); (2, b); (3, c) ])
+       [ (0, 1, 2); (0, 2, 1); (1, 0, 2); (2, 0, 1); (1, 2, 0); (2, 1, 0) ])
+    (shape Split.Three)
+
+let test_best_fallback_only_without_improving_three () =
+  (* 3 stages of equal work on three equal processors: a 3-way split
+     exists; with one unused processor left only 2-way splits do. *)
+  let app = Application.uniform ~n:3 ~work:6. ~delta:0. in
+  let three = Instance.make app (Platform.comm_homogeneous ~bandwidth:1. [| 1.; 1.; 1. |]) in
+  let config = Split.initial three in
+  let best arity = Split.best config ~j:0 ~arity ~rule:Split.Mono ~cap:infinity in
+  (match (best Split.Three, best Split.Three_or_two) with
+   | Some a, Some b ->
+     Alcotest.(check bool) "fallback keeps the 3-way split" true (same_candidate a b);
+     Alcotest.(check int) "three pieces" 3 (List.length b.Split.pieces)
+   | _ -> Alcotest.fail "expected a 3-way split");
+  let two = Instance.make app (Platform.comm_homogeneous ~bandwidth:1. [| 1.; 1. |]) in
+  let config = Split.initial two in
+  Alcotest.(check bool) "pure 3-way stuck" true
+    (Split.best config ~j:0 ~arity:Split.Three ~rule:Split.Mono ~cap:infinity = None);
+  match Split.best config ~j:0 ~arity:Split.Three_or_two ~rule:Split.Mono ~cap:infinity with
+  | Some c -> Alcotest.(check int) "falls back to two pieces" 2 (List.length c.Split.pieces)
+  | None -> Alcotest.fail "expected a 2-way fallback"
 
 (* ------------------------------------------------------------------ *)
 (* Heuristics: thresholds and validity                                 *)
@@ -426,6 +615,12 @@ let () =
             test_split_three_needs_two_procs;
           prop_split_candidates_all_improve;
           prop_split_candidate_metrics_exact;
+          prop_best_matches_reference;
+          prop_best_matches_reference_ties;
+          prop_best_matches_reference_fractional;
+          Alcotest.test_case "generation order" `Quick test_split_generation_order;
+          Alcotest.test_case "fallback only without 3-way splits" `Quick
+            test_best_fallback_only_without_improving_three;
         ] );
       ( "heuristics",
         [

@@ -351,8 +351,7 @@ let prop_failure_threshold_sound =
 let legacy_sp_bi_p inst ~period =
   let attempt cap =
     Pipeline_core.Loop.minimise_latency_under_period ~latency_cap:cap
-      ~gen:Pipeline_core.Loop.gen_two ~select:Pipeline_core.Loop.select_bi inst
-      ~period
+      ~arity:Pipeline_core.Split.Two ~rule:Pipeline_core.Split.Bi inst ~period
   in
   match attempt infinity with
   | None -> None
