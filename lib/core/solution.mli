@@ -18,4 +18,21 @@ val respects_period : t -> float -> bool
 
 val respects_latency : t -> float -> bool
 
+val compare_objectives : t -> t -> int
+(** Lexicographic order on (period, latency), [compare] on each. *)
+
+val pareto_front : t list -> t list
+(** The period/latency front of a list sorted by {!compare_objectives} —
+    the one prune every exact Pareto solver applies (DESIGN.md §9). The
+    period-constrained solvers accept values up to
+    {!Pipeline_util.Tol.ceiling}, and two evaluations of one mapping's
+    latency may differ in the last bits, so values within that slack
+    are one value here. Sweeping by increasing period, a point is kept
+    when its latency is below the last kept one's by more than the
+    slack ([not (Tol.meets last s.latency)]); then a kept point is
+    dropped when the next kept point's period {!Pipeline_util.Tol.meets}
+    its own, since that point's lower latency is reachable under the
+    same period constraint. The result has strictly increasing periods
+    and strictly decreasing latencies. *)
+
 val pp : Format.formatter -> t -> unit

@@ -7,22 +7,33 @@
    platforms enumerate speed representatives, fully heterogeneous ones
    the (speed, boundary-in, boundary-out) configuration family. *)
 
-let of_values values =
-  let a = Array.of_list (List.sort_uniq compare values) in
-  if Array.exists (fun v -> Float.is_nan v) a then
+(* Sort and deduplicate the [count] values [fill] writes (into
+   per-domain scratch, so only the result is allocated). NaN sorts
+   first under the kernel's order, so one look finds it. *)
+let sort_uniq count fill =
+  let a = Pipeline_util.Float_sort.sort_uniq_init count fill in
+  if Array.length a > 0 && Float.is_nan a.(0) then
     invalid_arg "Candidates.of_values: NaN candidate";
   a
 
+let of_values values =
+  sort_uniq (List.length values) (fun dst -> List.iteri (fun i v -> dst.(i) <- v) values)
+
+(* One slot per (interval, config), filled row by row. *)
 let enumerate cost =
   let n = Application.n (Cost.application cost) in
   let configs = Cost.candidate_configs cost in
-  let acc = ref [] in
-  for d = 1 to n do
-    for e = d to n do
-      Array.iter (fun c -> acc := Cost.config_cycle cost ~d ~e c :: !acc) configs
-    done
-  done;
-  of_values !acc
+  sort_uniq
+    (n * (n + 1) / 2 * Array.length configs)
+    (fun values ->
+      let pos = ref 0 in
+      for d = 1 to n do
+        Array.iter
+          (fun c ->
+            Cost.config_cycles_from cost ~d c values ~pos:!pos;
+            pos := !pos + n - d + 1)
+          configs
+      done)
 
 let periods cost = Cost.cached_candidates cost ~build:enumerate
 
@@ -33,14 +44,13 @@ let periods cost = Cost.cached_candidates cost ~build:enumerate
 let enumerate_deal cost =
   let plain = periods cost in
   let p = Platform.p (Cost.platform cost) in
-  let acc = ref [] in
-  Array.iter
-    (fun c ->
-      for r = 1 to p do
-        acc := c /. float_of_int r :: !acc
-      done)
-    plain;
-  of_values !acc
+  sort_uniq (Array.length plain * p) (fun values ->
+      Array.iteri
+        (fun i c ->
+          for r = 1 to p do
+            values.((i * p) + r - 1) <- c /. float_of_int r
+          done)
+        plain)
 
 let deal_periods cost = Cost.cached_deal_candidates cost ~build:enumerate_deal
 

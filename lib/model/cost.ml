@@ -227,12 +227,14 @@ let check_proc t who u =
    achievable (hence member) value. *)
 
 let boundary_bandwidths t u =
+  (* Slot u holds u's I/O bandwidth, every other slot v the u-v link. *)
   let p = Array.length t.speeds in
-  let acc = ref [ Platform.io_bandwidth t.platform u ] in
-  for v = 0 to p - 1 do
-    if v <> u then acc := Platform.bandwidth t.platform u v :: !acc
-  done;
-  List.sort_uniq compare !acc
+  Pipeline_util.Float_sort.sort_uniq_init p (fun bs ->
+      for v = 0 to p - 1 do
+        bs.(v) <-
+          (if v = u then Platform.io_bandwidth t.platform u
+           else Platform.bandwidth t.platform u v)
+      done)
 
 let candidate_configs t =
   if Array.length t.configs > 0 then t.configs
@@ -255,9 +257,9 @@ let candidate_configs t =
     else
       for u = 0 to p - 1 do
         let bs = boundary_bandwidths t u in
-        List.iter
+        Array.iter
           (fun b_in ->
-            List.iter
+            Array.iter
               (fun b_out ->
                 let key = (t.speeds.(u), b_in, b_out) in
                 if not (Hashtbl.mem seen key) then begin
@@ -354,6 +356,30 @@ let douts t ~e_min ~e_max dst ~pos =
     check_fill "Cost.douts" dst pos (e_max - e_min + 1);
     for e = e_min to e_max do
       Array.unsafe_set dst (pos + e - e_min) (dout_u t e)
+    done
+  end
+
+(* One (d, config) row of candidate cycle-times in one pass, unboxed.
+   Each value is [config_cycle_u]'s expression verbatim — cycle_direct's
+   (din + W/s) + dout association on comm-homogeneous platforms, which
+   is also what the cycle memo stores — so the row is bit-identical to
+   calling config_cycle per end. The memo is neither read nor filled. *)
+let config_cycles_from t ~d (c : config) dst ~pos =
+  check_interval t "Cost.config_cycles_from" d d;
+  check_proc t "Cost.config_cycles_from" c.proc;
+  check_fill "Cost.config_cycles_from" dst pos (t.n - d + 1);
+  let s = t.speeds.(c.proc) in
+  if t.comm_hom then begin
+    let din = din_u t d in
+    for e = d to t.n do
+      Array.unsafe_set dst (pos + e - d) (din +. (ws_u t d e /. s) +. dout_u t e)
+    done
+  end
+  else begin
+    let din = Application.delta t.app (d - 1) /. c.b_in in
+    for e = d to t.n do
+      Array.unsafe_set dst (pos + e - d)
+        (din +. (ws_u t d e /. s) +. (Application.delta t.app e /. c.b_out))
     done
   end
 

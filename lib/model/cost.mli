@@ -171,6 +171,12 @@ val config_cycle : t -> d:int -> e:int -> config -> float
     {!cycle_time}. Comm-homogeneous configs route through the memoised
     {!cycle} table (bit-identical). *)
 
+val config_cycles_from : t -> d:int -> config -> float array -> pos:int -> unit
+(** [config_cycles_from t ~d c dst ~pos] stores [config_cycle t ~d ~e c]
+    at [dst.(pos + e - d)] for [e = d..n], bit for bit, without boxing
+    a value: one row of the candidate enumeration
+    ({!Candidates.periods}). *)
+
 (** {2 Plain interval mappings (equations (1) and (2))}
 
     All functions raise [Invalid_argument] when the mapping does not

@@ -3,16 +3,6 @@
 
 open Pipeline_model
 
-(* Above this stage count the eager candidate-set priming is skipped:
-   enumeration is O(n² · |speeds|) and web-scale solvers go through the
-   lazy lattice (Candidates.Set) anyway (DESIGN.md §11). *)
-let candidate_prime_cap = 512
-
-(* Fully-het candidate families are O(n² · |configs|) with |configs| up
-   to p³ (DESIGN.md §13), so het priming is bounded by the materialised
-   triple count rather than the stage count. *)
-let het_prime_triples_cap = 1 lsl 16
-
 type app_slot = { app_fp : string; instance : Instance.t; engine : Cost.t }
 
 type entry = { platform : Platform.t; mutable apps : app_slot list (* MRU first *) }
@@ -124,14 +114,6 @@ let warm_slot ~app_fp (request : Instance.t) platform =
       request.Instance.app platform
   in
   let engine = Cost.get instance.Instance.app instance.Instance.platform in
-  let n = Application.n instance.Instance.app in
-  let prime =
-    if Platform.is_comm_homogeneous platform then n <= candidate_prime_cap
-    else
-      n * (n + 1) / 2 * Array.length (Cost.candidate_configs engine)
-      <= het_prime_triples_cap
-  in
-  if prime then ignore (Candidates.periods engine);
   { app_fp; instance; engine }
 
 let canonical t (request : Instance.t) =

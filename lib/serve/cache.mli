@@ -3,15 +3,15 @@
     Parsing a request builds fresh [Application.t]/[Platform.t] values,
     and {!Pipeline_model.Cost.get}'s per-domain engine LRU keys on
     {e physical} equality — so without help, two identical requests
-    would each pay the cold engine build and the candidate-set
-    enumeration. This cache is the canonicalisation step: it maps the
-    request's instance onto the {e representative} instance first seen
-    with that platform fingerprint (and, nested under it, that
-    application fingerprint), so repeated queries against the same
+    would each pay the cold engine build and, for the exact solvers, the
+    candidate-set enumeration. This cache is the canonicalisation step:
+    it maps the request's instance onto the {e representative} instance
+    first seen with that platform fingerprint (and, nested under it,
+    that application fingerprint), so repeated queries against the same
     cluster hand the solvers pointer-equal values and hit every warm
     table — the cost engine, its memoised cycle-time entries, and the
-    candidate-period arrays ({!Pipeline_model.Candidates.periods},
-    enumerated once per entry).
+    candidate-period arrays ({!Pipeline_model.Candidates.periods}:
+    built on first use, cached on the engine).
 
     Fingerprints are injective textual encodings in the style of
     {!Pipeline_stream.Churn.fingerprint} (hex-float [%h] rendering, so
@@ -55,12 +55,11 @@ type lookup = {
 
 val canonical : t -> Instance.t -> lookup
 (** Canonicalise one request instance, warming the cache on a miss: a
-    fresh entry builds the engine and enumerates the candidate-period
-    set eagerly — on comm-homogeneous platforms up to the
-    candidate-priming stage cap, on fully heterogeneous ones up to a
-    materialised-triple cap (the het family is O(n² · |configs|) with up
-    to p³ configurations, DESIGN.md §13) — so the cold cost is paid
-    here, once, rather than inside every subsequent solve. *)
+    fresh entry builds the cost engine and nothing else. The
+    candidate-period set is built on first use, cached on the engine —
+    only the exact searches ([/solve] with [exact], [/pareto]) read it,
+    so heuristic solves and simulations never pay for it (DESIGN.md
+    §12). *)
 
 type stats = {
   platform_hits : int;

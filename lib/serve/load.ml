@@ -106,7 +106,7 @@ let measure ~label shots =
     shots;
   let elapsed = Unix.gettimeofday () -. t0 in
   let lat = Array.of_list (List.rev_map (fun s -> s *. 1e6) !latencies) in
-  Array.sort compare lat;
+  Pipeline_util.Float_sort.sort lat;
   let n = Array.length lat in
   let mean =
     if n = 0 then 0. else Array.fold_left ( +. ) 0. lat /. float_of_int n

@@ -6,17 +6,17 @@
     records per-request wall-clock latency. Four phases:
 
     - [health]: [GET /health] — protocol floor (no solver work);
-    - [solve-cold]: [POST /solve], every request a {e distinct} platform
-      fingerprint, so each pays the full engine build + candidate
-      enumeration;
+    - [solve-cold]: [POST /solve] with H1, every request a {e distinct}
+      platform fingerprint, so each pays the engine build (H1 reads no
+      candidate set, so none is built);
     - [solve-warm]: [POST /solve] cycling a handful of platforms that
       fit both the serve cache and [Cost.get]'s per-domain LRU — every
       request after the first lap is a warm hit;
     - [simulate]: [POST /simulate] — DES work on a warm instance.
 
-    The cold/warm pair is the cache's measurement: the acceptance
-    criterion "warm measurably faster than cold" is the ratio of their
-    mean latencies (EXPERIMENTS.md quotes a measured run). Timings are
+    The cold/warm pair is the cache's measurement: the ratio of their
+    mean latencies is what a cache miss costs an H1 solve
+    (EXPERIMENTS.md quotes a measured run). Timings are
     wall-clock and therefore {e not} part of the determinism contract —
     the CSV is a bench artefact, excluded from the byte-identity gates,
     exactly like the Bechamel timings. *)

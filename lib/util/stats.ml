@@ -27,12 +27,15 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
-let sorted xs = List.sort compare xs
+let sorted xs =
+  let a = Array.of_list xs in
+  Float_sort.sort a;
+  a
 
 let median = function
   | [] -> invalid_arg "Stats.median: empty list"
   | xs ->
-    let a = Array.of_list (sorted xs) in
+    let a = sorted xs in
     let n = Array.length a in
     if n mod 2 = 1 then a.(n / 2)
     else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
@@ -41,7 +44,7 @@ let percentile q = function
   | [] -> invalid_arg "Stats.percentile: empty list"
   | _ when q < 0. || q > 1. -> invalid_arg "Stats.percentile: q not in [0,1]"
   | xs ->
-    let a = Array.of_list (sorted xs) in
+    let a = sorted xs in
     let n = Array.length a in
     if n = 1 then a.(0)
     else

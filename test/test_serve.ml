@@ -590,10 +590,8 @@ let test_protocol_het_simulate () =
   | Some (Json.String _) -> ()
   | _ -> Alcotest.failf "no mapping in %s" body
 
-let test_protocol_het_exact_guard () =
-  (* Above the exhaustive oracle's enumeration guard, exact requests on
-     fully-het platforms are a deliberate 400. *)
-  let p = Protocol.create () in
+(* A fully-het body above the exhaustive oracle's enumeration guard. *)
+let oversized_het_body fields =
   let n = 24 and procs = 12 in
   let nums l = Json.List (List.map (fun v -> Json.Number v) l) in
   let ones k = List.init k (fun _ -> 1.) in
@@ -615,15 +613,20 @@ let test_protocol_het_exact_guard () =
         );
       ]
   in
-  let body fields = Json.to_string (Json.Obj (("instance", instance) :: fields)) in
+  Json.to_string (Json.Obj (("instance", instance) :: fields))
+
+let test_protocol_het_exact_guard () =
+  (* Above the exhaustive oracle's enumeration guard, exact requests on
+     fully-het platforms are a deliberate 400. *)
+  let p = Protocol.create () in
   let status, _, reply =
     Protocol.handle p
-      (request (body [ ("period", Json.Number 9.); ("exact", Json.Bool true) ]))
+      (request (oversized_het_body [ ("period", Json.Number 9.); ("exact", Json.Bool true) ]))
   in
   Alcotest.(check int) "oversized exact is 400" 400 status;
   Alcotest.(check bool) "names the guard" true
     (Str_find.contains (error_of reply) "too large for the exact solver");
-  let status, _, reply = Protocol.handle p (request ~path:"/pareto" (body [])) in
+  let status, _, reply = Protocol.handle p (request ~path:"/pareto" (oversized_het_body [])) in
   Alcotest.(check int) "oversized pareto is 400" 400 status;
   ignore (error_of reply)
 
@@ -638,6 +641,73 @@ let test_protocol_byte_identity () =
   let jobs1 = with_jobs 1 solve in
   let jobs4 = with_jobs 4 solve in
   Alcotest.(check string) "jobs 1 vs jobs 4" jobs1 jobs4
+
+(* Candidate sets are built on first use, cached on the engine: the
+   warm cache builds none on a miss, so only requests whose solver
+   reads the set pay for it, once per engine. Counted with
+   Cost.cache_stats deltas (requests are handled on this domain). *)
+let candidate_builds () = (Cost.cache_stats ()).Cost.candidate_builds
+
+let test_protocol_candidate_builds () =
+  let p = Protocol.create () in
+  (* Each bandwidth is a fingerprint no other request here uses. *)
+  let body ~bandwidth fields =
+    let nums l = Json.List (List.map (fun v -> Json.Number v) l) in
+    Json.to_string
+      (Json.Obj
+         (( "instance",
+            Json.Obj
+              [
+                ("works", nums [ 4.; 8.; 2.; 6.; 5. ]);
+                ("deltas", nums [ 10.; 20.; 30.; 20.; 10.; 5. ]);
+                ( "platform",
+                  Json.Obj
+                    [ ("speeds", nums [ 2.; 4.; 1. ]); ("bandwidth", Json.Number bandwidth) ] );
+              ] )
+         :: fields))
+  in
+  let cold_then_warm ?(status = 200) label ~path ~builds body =
+    let run () =
+      let before = candidate_builds () in
+      let got, _, reply = Protocol.handle p (request ~path body) in
+      Alcotest.(check int) (label ^ ": status") status got;
+      (reply, candidate_builds () - before)
+    in
+    let cold, cold_builds = run () in
+    let warm, warm_builds = run () in
+    Alcotest.(check int) (label ^ ": cold builds") builds cold_builds;
+    Alcotest.(check int) (label ^ ": warm builds") 0 warm_builds;
+    Alcotest.(check string) (label ^ ": cold = warm") cold warm
+  in
+  cold_then_warm "H1 solve" ~path:"/solve" ~builds:0
+    (body ~bandwidth:11.
+       [ ("period", Json.Number 9.); ("heuristic", Json.String "h1-sp-mono-p") ]);
+  cold_then_warm "simulate" ~path:"/simulate" ~builds:0
+    (body ~bandwidth:12. [ ("period", Json.Number 20.); ("datasets", Json.Number 20.) ]);
+  cold_then_warm "simulate with noise" ~path:"/simulate" ~builds:0
+    (body ~bandwidth:12.
+       [
+         ("period", Json.Number 20.); ("datasets", Json.Number 20.);
+         ("noise", Json.Number 0.2);
+       ]);
+  (* The period-bounded exact DP takes the bound as given; the
+     latency-bounded one searches the candidate periods. *)
+  cold_then_warm "exact solve, period bound" ~path:"/solve" ~builds:0
+    (body ~bandwidth:13. [ ("period", Json.Number 9.); ("exact", Json.Bool true) ]);
+  cold_then_warm "exact solve, latency bound" ~path:"/solve" ~builds:1
+    (body ~bandwidth:14. [ ("latency", Json.Number 30.); ("exact", Json.Bool true) ]);
+  cold_then_warm "pareto" ~path:"/pareto" ~builds:1 (body ~bandwidth:15. []);
+  (* The pareto request shares the latency-bound solve's engine. *)
+  cold_then_warm "pareto on a warm engine" ~path:"/pareto" ~builds:0
+    (body ~bandwidth:14. []);
+  (* Fully heterogeneous exact requests go to the exhaustive oracle,
+     which scores mappings and reads no candidate set — whether the
+     size guard admits the instance or refuses it. *)
+  cold_then_warm "het exact solve" ~path:"/solve" ~builds:0
+    (het_body [ ("period", Json.Number 9.); ("exact", Json.Bool true) ]);
+  cold_then_warm "het pareto" ~path:"/pareto" ~builds:0 (het_body []);
+  cold_then_warm ~status:400 "het exact over the guard" ~path:"/solve" ~builds:0
+    (oversized_het_body [ ("period", Json.Number 9.); ("exact", Json.Bool true) ])
 
 (* The serve path against the library: same instance, same threshold,
    same heuristic => the response carries the same mapping and
@@ -861,6 +931,8 @@ let () =
           Alcotest.test_case "het simulate" `Quick test_protocol_het_simulate;
           Alcotest.test_case "het exact guard" `Quick
             test_protocol_het_exact_guard;
+          Alcotest.test_case "candidate sets built on first use" `Quick
+            test_protocol_candidate_builds;
           Alcotest.test_case "byte-identical responses" `Quick
             test_protocol_byte_identity;
           prop_serve_matches_library;

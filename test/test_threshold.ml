@@ -70,6 +70,72 @@ let test_het_candidates () =
   Alcotest.(check bool) "mapping period is a member" true
     (Candidates.mem cands (Cost.period cost mapping))
 
+(* The list enumeration the candidate sets were first built with, kept
+   as the reference for the array one: every (interval, processor,
+   boundary-in, boundary-out) cycle-time through Cost.config_cycle,
+   consed onto a list and sorted by List.sort_uniq compare. The configs
+   are spelled out here rather than taken from Cost.candidate_configs:
+   every processor with the common bandwidth, or with every pair of its
+   own I/O and link bandwidths. *)
+let reference_periods cost =
+  let pl = Cost.platform cost in
+  let n = Application.n (Cost.application cost) and p = Platform.p pl in
+  let configs = ref [] in
+  for u = p - 1 downto 0 do
+    if Platform.is_comm_homogeneous pl then begin
+      let b = Platform.io_bandwidth pl 0 in
+      configs := { Cost.proc = u; b_in = b; b_out = b } :: !configs
+    end
+    else begin
+      let bs =
+        Platform.io_bandwidth pl u
+        :: List.filter_map
+             (fun v -> if v = u then None else Some (Platform.bandwidth pl u v))
+             (List.init p Fun.id)
+      in
+      List.iter
+        (fun b_in ->
+          List.iter
+            (fun b_out -> configs := { Cost.proc = u; b_in; b_out } :: !configs)
+            bs)
+        bs
+    end
+  done;
+  let acc = ref [] in
+  for d = 1 to n do
+    for e = d to n do
+      List.iter (fun c -> acc := Cost.config_cycle cost ~d ~e c :: !acc) !configs
+    done
+  done;
+  List.sort_uniq compare !acc
+
+let reference_deal_periods cost =
+  let p = Platform.p (Cost.platform cost) in
+  List.sort_uniq compare
+    (List.concat_map
+       (fun c -> List.init p (fun r -> c /. float_of_int (r + 1)))
+       (reference_periods cost))
+
+let bits a = Array.map Int64.bits_of_float a
+
+let enumeration_matches_list (inst : Instance.t) =
+  (* Fresh engines: one per set, so neither reads the other's cache. *)
+  let fresh () = Cost.make inst.Instance.app inst.Instance.platform in
+  bits (Candidates.periods (fresh ()))
+  = bits (Array.of_list (reference_periods (fresh ())))
+  && bits (Candidates.deal_periods (fresh ()))
+     = bits (Array.of_list (reference_deal_periods (fresh ())))
+
+let prop_enumeration_matches_list =
+  Helpers.qtest ~count:60 "comm-hom: array enumeration = list enumeration, bitwise"
+    (QCheck2.Gen.map (Helpers.random_instance ~n_max:14 ~p_max:6) gen_seed)
+    enumeration_matches_list
+
+let prop_het_enumeration_matches_list =
+  Helpers.qtest ~count:60 "fully-het: array enumeration = list enumeration, bitwise"
+    (QCheck2.Gen.map (Helpers.random_het_instance ~n_max:10 ~p_max:5) gen_seed)
+    enumeration_matches_list
+
 (* A uniformly random interval mapping: its period must be a member of
    the candidate set, bit-for-bit. *)
 let random_mapping rng (inst : Instance.t) =
@@ -420,6 +486,8 @@ let () =
           Alcotest.test_case "mem and ceiling" `Quick test_mem_ceiling;
           Alcotest.test_case "cached on the engine" `Quick test_cached_on_engine;
           Alcotest.test_case "het candidate sets" `Quick test_het_candidates;
+          prop_enumeration_matches_list;
+          prop_het_enumeration_matches_list;
           prop_period_is_candidate;
           prop_optimal_period_is_candidate;
           prop_deal_optimum_is_candidate;

@@ -730,6 +730,89 @@ let prop_pool_rng_per_task =
       let tasks = Array.init 20 Fun.id in
       Pool.map ~jobs task tasks = Pool.map ~jobs:1 task tasks)
 
+(* ------------------------------------------------------------------ *)
+(* Float_sort                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Every value class whose order or identity a float sort can get
+   wrong: both zeros, NaNs of several signs and payloads, the
+   infinities, subnormals and the extreme normals. *)
+let awkward_floats =
+  [|
+    0.; -0.; Float.nan; -.Float.nan;
+    Int64.float_of_bits 0x7ff0_0000_0000_0001L (* signalling payload *);
+    Int64.float_of_bits 0xfff8_0000_0000_00ffL;
+    Float.infinity; Float.neg_infinity; 4.9e-324; -4.9e-324; 1e-310;
+    Float.min_float; Float.max_float; -.Float.max_float;
+  |]
+
+let bits a = Array.map Int64.bits_of_float a
+
+let sort_matches_list a =
+  let sorted = Array.copy a in
+  Float_sort.sort sorted;
+  bits sorted = bits (Array.of_list (List.sort compare (Array.to_list a)))
+
+let sort_uniq_matches_list a =
+  let before = bits a in
+  let uniq = Float_sort.sort_uniq a in
+  bits uniq = bits (Array.of_list (List.sort_uniq compare (Array.to_list a)))
+  && bits a = before
+
+(* Few distinct values, so duplicates and equal-but-distinct members
+   (±0., NaN payloads) are common. *)
+let gen_float_array =
+  QCheck2.Gen.(
+    let elt =
+      frequency
+        [
+          (3, oneofa awkward_floats);
+          (3, map float_of_int (int_range (-8) 8));
+          (1, float);
+        ]
+    in
+    let len = frequency [ (4, int_range 0 40); (1, int_range 0 5000) ] in
+    map Array.of_list (list_size len elt))
+
+let prop_float_sort =
+  Helpers.qtest ~count:300 "sort = List.sort compare, bitwise" gen_float_array
+    sort_matches_list
+
+let prop_float_sort_uniq =
+  Helpers.qtest ~count:300 "sort_uniq = List.sort_uniq compare, bitwise"
+    gen_float_array sort_uniq_matches_list
+
+(* Every length around the insertion-sort cutoff (16) and the first
+   merge widths, then large ones, on seeded random contents. *)
+let test_float_sort_lengths () =
+  let rng = Rng.create 7 in
+  let lengths = List.init 70 Fun.id @ [ 127; 128; 129; 255; 256; 257; 1000; 4999; 5000 ] in
+  List.iter
+    (fun len ->
+      let a =
+        Array.init len (fun _ ->
+            if Rng.bool rng then Rng.pick rng awkward_floats
+            else float_of_int (Rng.int_in rng (-5) 5) /. 4.)
+      in
+      if not (sort_matches_list a) then Alcotest.failf "sort differs at length %d" len;
+      if not (sort_uniq_matches_list a) then
+        Alcotest.failf "sort_uniq differs at length %d" len)
+    lengths
+
+let test_float_sort_uniq_member () =
+  (* List.sort_uniq keeps the second of two equal leading elements of a
+     three-element block, so -0. survives here, not the first 0. *)
+  let u = Float_sort.sort_uniq [| 0.; -0.; 1. |] in
+  Alcotest.(check (array int64)) "keeps -0." (bits [| -0.; 1. |]) (bits u);
+  let u = Float_sort.sort_uniq [| 0.; -0. |] in
+  Alcotest.(check (array int64)) "keeps 0." (bits [| 0. |]) (bits u);
+  let a = [| 2.; Float.nan; 1.; -0.; 0.; Float.neg_infinity |] in
+  Float_sort.sort a;
+  Alcotest.(check bool) "NaN first" true (Float.is_nan a.(0));
+  Alcotest.(check (array int64)) "stable zeros"
+    (bits [| Float.neg_infinity; -0.; 0.; 1.; 2. |])
+    (bits (Array.sub a 1 5))
+
 let () =
   Alcotest.run "util"
     [
@@ -751,6 +834,14 @@ let () =
           Alcotest.test_case "shuffle multiset" `Quick test_rng_shuffle_preserves_elements;
           Alcotest.test_case "pick member" `Quick test_rng_pick_member;
           Alcotest.test_case "pick empty" `Quick test_rng_pick_empty;
+        ] );
+      ( "float-sort",
+        [
+          prop_float_sort;
+          prop_float_sort_uniq;
+          Alcotest.test_case "lengths across the cutoff" `Quick test_float_sort_lengths;
+          Alcotest.test_case "sort_uniq keeps List's member" `Quick
+            test_float_sort_uniq_member;
         ] );
       ( "stats",
         [
