@@ -47,19 +47,28 @@ let longest_fitting t ~from ~budget =
      bottlenecks) are computed as prefix differences, and the additive
      form prefix.(e) <= prefix.(from-1) + budget can disagree by one ulp,
      breaking the exactness of the parametric search. *)
-  let base = t.prefix.(from - 1) in
-  let fits e = t.prefix.(e) -. base <= budget in
-  let lo = ref (from - 1) and hi = ref (n t) in
-  (* Invariant: fits !lo (prefix.(from-1) - base = 0 <= budget); prefix
-     values are non-decreasing, so [fits] is monotone in [e]. *)
-  if fits !hi then !hi
-  else begin
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if fits mid then lo := mid else hi := mid
-    done;
-    !lo
-  end
+  let prefix = t.prefix and n = n t in
+  let base = prefix.(from - 1) in
+  (* Gallop from [from], then bisect the last doubling step. Invariant:
+     [lo] fits (prefix.(from-1) - base = 0 <= budget) and [hi] does not,
+     n + 1 standing for "past the end"; prefix values are non-decreasing,
+     so fitting is monotone in e and the answer is the same largest e a
+     bisection over the whole tail finds — in O(log (e - from)) steps,
+     which is what the greedy probes' short intervals need. *)
+  let lo = ref (from - 1) and hi = ref (n + 1) and step = ref 1 in
+  while !hi > n && !lo < n do
+    let e = if !lo + !step > n then n else !lo + !step in
+    if Array.unsafe_get prefix e -. base <= budget then begin
+      lo := e;
+      step := 2 * !step
+    end
+    else hi := e
+  done;
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if Array.unsafe_get prefix mid -. base <= budget then lo := mid else hi := mid
+  done;
+  !lo
 
 let max_element t = t.suffix_max.(1)
 

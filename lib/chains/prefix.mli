@@ -27,7 +27,9 @@ val total : t -> float
 val longest_fitting : t -> from:int -> budget:float -> int
 (** [longest_fitting t ~from ~budget] is the largest [e ≥ from - 1] such
     that [sum t from e ≤ budget] (so [from - 1] means even [a_from] alone
-    overflows). O(log n) by binary search over the prefix table. Requires
+    overflows). O(log (e - from)): a galloping search from [from] over
+    the prefix table, then a bisection of the last doubling step — the
+    probes' intervals are short next to the chain. Requires
     [1 ≤ from ≤ n] and [budget ≥ 0]. *)
 
 val max_element : t -> float

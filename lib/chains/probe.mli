@@ -14,7 +14,8 @@
 val feasible : ?from:int -> Prefix.t -> p:int -> bound:float -> bool
 (** O(p log n): the tail maximum is an O(1) suffix-table lookup
     ({!Prefix.max_from}) and the greedy walk aborts after [p] intervals,
-    so an infeasible probe never cuts the whole tail. [p ≥ 1] and
+    so an infeasible probe never cuts the whole tail. The walk counts
+    intervals without building the cut list. [p ≥ 1] and
     [1 ≤ from ≤ n] required. *)
 
 val partition : Prefix.t -> p:int -> bound:float -> Partition.t option

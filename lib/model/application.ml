@@ -70,6 +70,9 @@ let work_sum t d e =
 
 let total_work t = t.prefix.(n t)
 
+let prefix_table t = t.prefix
+let delta_table t = t.deltas
+
 let works t = Array.copy t.works
 let deltas t = Array.copy t.deltas
 

@@ -56,6 +56,19 @@ val works : t -> float array
 val deltas : t -> float array
 (** Fresh copies of the underlying arrays. *)
 
+val prefix_table : t -> float array
+(** The prefix-sum table itself, not a copy: [(prefix_table t).(k)] is
+    [Σ_{i=1..k} w_i] for [0 ≤ k ≤ n], and {!work_sum} [t d e] is exactly
+    [prefix.(e) -. prefix.(d - 1)]. Read-only: the caller must never
+    write to it. For inner loops that read many sums without a
+    per-call range check or a boxed float result ({!Cost}'s lattice
+    sweeps). *)
+
+val delta_table : t -> float array
+(** The communication sizes [δ_0 … δ_n] themselves, not a copy
+    ([(delta_table t).(k)] is {!delta} [t k]). Read-only, like
+    {!prefix_table}. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

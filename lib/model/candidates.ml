@@ -163,57 +163,24 @@ module Set = struct
       if c = 0 then None else Some a.(c - 1)
     | Lattice l -> Some l.max_elt
 
-  (* Largest candidate <= v. Per configuration, the largest feasible
-     interval end for a fixed start d is non-decreasing in d (growing d
-     only shrinks W), so one forward-only e pointer serves all n starts:
-     O(n) cycle evaluations per configuration. *)
+  (* Largest candidate <= v and smallest candidate >= v: one unboxed
+     two-pointer sweep per configuration (Cost.config_floor /
+     config_ceiling), folded over the configurations. *)
   let floor_lattice cost configs v =
-    let n = Application.n (Cost.application cost) in
-    let best = ref None in
-    Array.iter
-      (fun cf ->
-        let e = ref 0 in
-        for d = 1 to n do
-          if !e < d - 1 then e := d - 1;
-          while !e < n && Cost.config_cycle cost ~d ~e:(!e + 1) cf <= v do
-            incr e
-          done;
-          if !e >= d then begin
-            (* Row maximum <= v: cycles grow with e, so the last feasible
-               end holds the row's largest value under v. *)
-            let c = Cost.config_cycle cost ~d ~e:!e cf in
-            match !best with
-            | Some b when b >= c -> ()
-            | _ -> best := Some c
-          end
-        done)
-      configs;
-    !best
+    let best =
+      Array.fold_left
+        (fun acc c -> Float.max acc (Cost.config_floor cost c v))
+        neg_infinity configs
+    in
+    if best = neg_infinity then None else Some best
 
-  (* Smallest candidate >= v: the mirror sweep. The first end whose
-     cycle reaches v is non-decreasing in d, and once a start has no
-     such end no later start does (cycles only shrink with d). *)
   let ceiling_lattice cost configs v =
-    let n = Application.n (Cost.application cost) in
-    let best = ref None in
-    Array.iter
-      (fun cf ->
-        let e = ref 1 in
-        try
-          for d = 1 to n do
-            if !e < d then e := d;
-            while !e <= n && Cost.config_cycle cost ~d ~e:!e cf < v do
-              incr e
-            done;
-            if !e > n then raise Exit;
-            let c = Cost.config_cycle cost ~d ~e:!e cf in
-            match !best with
-            | Some b when b <= c -> ()
-            | _ -> best := Some c
-          done
-        with Exit -> ())
-      configs;
-    !best
+    let best =
+      Array.fold_left
+        (fun acc c -> Float.min acc (Cost.config_ceiling cost c v))
+        infinity configs
+    in
+    if best = infinity then None else Some best
 
   let floor t v =
     match t with

@@ -58,9 +58,10 @@ val floor : float array -> float -> float option
     view: cycle-times are weakly monotone in the interval work sum at
     fixed configuration, so minimum, maximum, floor and ceiling are
     answered by O(n · |configs|) two-pointer sweeps over the implicit
-    [(d, e, config)] lattice, each comparison evaluating the engine's
-    own {!Cost.config_cycle} expression. Every answer is an attained set
-    element, bit-identical to the value the materialised array would
+    [(d, e, config)] lattice ({!Cost.config_floor} and
+    {!Cost.config_ceiling}, folded over the configs), each comparison
+    evaluating the engine's own {!Cost.config_cycle} expression,
+    unboxed. Every answer is an attained set element, bit-identical to the value the materialised array would
     hold — {!Threshold.search_set} builds an exact web-scale binary
     search on top of exactly these four queries. *)
 module Set : sig

@@ -142,28 +142,30 @@ let lru_capacity = 8
 
 let slot : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
-let get app platform =
+(* Move [t] to the front of this domain's LRU, dropping the least
+   recently used engine when [t] was not resident. *)
+let promote t =
   let r = Domain.DLS.get slot in
-  (* [acc] holds the already-scanned prefix in reverse; on a hit the
-     entry moves to the front and the rest keeps its order. *)
-  let rec find acc = function
-    | [] -> None
-    | t :: rest ->
-      if t.app == app && t.platform == platform then begin
-        r := t :: List.rev_append acc rest;
-        Some t
-      end
-      else find (t :: acc) rest
-  in
-  match find [] !r with
+  match !r with
+  | front :: _ when front == t -> ()
+  | engines ->
+    let rest = List.filter (fun x -> x != t) engines in
+    r := t :: List.filteri (fun i _ -> i < lru_capacity - 1) rest
+
+let get app platform =
+  match
+    List.find_opt
+      (fun t -> t.app == app && t.platform == platform)
+      !(Domain.DLS.get slot)
+  with
   | Some t ->
     Atomic.incr n_lru_hits;
+    promote t;
     t
   | None ->
     Atomic.incr n_lru_misses;
     let t = make app platform in
-    let kept = List.filteri (fun i _ -> i < lru_capacity - 1) !r in
-    r := t :: kept;
+    promote t;
     t
 
 let require_comm_hom t who =
@@ -382,6 +384,62 @@ let config_cycles_from t ~d (c : config) dst ~pos =
         (din +. (ws_u t d e /. s) +. (Application.delta t.app e /. c.b_out))
     done
   end
+
+(* Lattice sweeps for the lazy candidate sets (Candidates.Set, DESIGN.md
+   §11). With uniform deltas a config's cycle-time is weakly monotone in
+   W(d,e) — growing in e, shrinking in d — so one forward-only e pointer
+   serves every start d. Each comparison is [config_cycle_u]'s expression
+   verbatim, read from the prefix and boundary tables without a range
+   check, so a sweep allocates nothing and the value it returns is the
+   very float config_cycle would. *)
+let[@inline] lattice_cycle t prefix deltas s (c : config) d e =
+  let w = (Array.unsafe_get prefix e -. Array.unsafe_get prefix (d - 1)) /. s in
+  if t.comm_hom then din_u t d +. w +. dout_u t e
+  else
+    (Array.unsafe_get deltas (d - 1) /. c.b_in) +. w
+    +. (Array.unsafe_get deltas e /. c.b_out)
+
+let config_floor t (c : config) v =
+  check_proc t "Cost.config_floor" c.proc;
+  let prefix = Application.prefix_table t.app
+  and deltas = Application.delta_table t.app in
+  let s = t.speeds.(c.proc) and n = t.n in
+  let best = ref neg_infinity and e = ref 0 in
+  for d = 1 to n do
+    if !e < d - 1 then e := d - 1;
+    while !e < n && lattice_cycle t prefix deltas s c d (!e + 1) <= v do
+      incr e
+    done;
+    (* Cycles grow with e, so the last end under v holds the row's
+       largest value under v. *)
+    if !e >= d then begin
+      let x = lattice_cycle t prefix deltas s c d !e in
+      if x > !best then best := x
+    end
+  done;
+  !best
+
+let config_ceiling t (c : config) v =
+  check_proc t "Cost.config_ceiling" c.proc;
+  let prefix = Application.prefix_table t.app
+  and deltas = Application.delta_table t.app in
+  let s = t.speeds.(c.proc) and n = t.n in
+  let best = ref infinity and e = ref 1 and d = ref 1 in
+  while !d <= n do
+    if !e < !d then e := !d;
+    while !e <= n && lattice_cycle t prefix deltas s c !d !e < v do
+      incr e
+    done;
+    (* Once a start has no end reaching v, no later start does: cycles
+       only shrink with d. *)
+    if !e > n then d := n + 1
+    else begin
+      let x = lattice_cycle t prefix deltas s c !d !e in
+      if x < !best then best := x;
+      incr d
+    end
+  done;
+  !best
 
 let period_lower_bound t =
   let s_max = Platform.speed t.platform (Platform.fastest t.platform) in

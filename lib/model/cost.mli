@@ -54,6 +54,15 @@ val get : Application.t -> Platform.t -> t
     streaming resolver's live/survivor pair) never re-enumerate their
     candidate sets. *)
 
+val promote : t -> unit
+(** [promote t] moves [t] to the front of the calling domain's {!get}
+    LRU — inserting it, and dropping the least recently used engine,
+    when it is not resident. For callers that keep engines of their own
+    (the serve daemon's warm cache): the solvers' {!get} on [t]'s
+    application and platform then returns [t] itself, with every table it
+    has warmed, instead of building a twin. Counts neither a hit nor a
+    miss. *)
+
 val memoised : t -> bool
 (** Whether the engine serves cached tables (false for
     [~memo:false]). *)
@@ -176,6 +185,20 @@ val config_cycles_from : t -> d:int -> config -> float array -> pos:int -> unit
     at [dst.(pos + e - d)] for [e = d..n], bit for bit, without boxing
     a value: one row of the candidate enumeration
     ({!Candidates.periods}). *)
+
+val config_floor : t -> config -> float -> float
+(** [config_floor t c v] — the largest [config_cycle t ~d ~e c <= v]
+    over every interval [\[d, e\]], or [neg_infinity] when there is
+    none. Requires uniform deltas (the cycle-time is then weakly
+    monotone in the interval work sum): one two-pointer sweep, O(n), that
+    evaluates {!config_cycle}'s expression bit for bit and allocates
+    nothing per comparison. The lazy lattice view of
+    {!Candidates.Set} folds it over the configs. *)
+
+val config_ceiling : t -> config -> float -> float
+(** [config_ceiling t c v] — the smallest [config_cycle t ~d ~e c >= v],
+    or [infinity] when there is none; the mirror sweep of
+    {!config_floor}, under the same precondition. *)
 
 (** {2 Plain interval mappings (equations (1) and (2))}
 

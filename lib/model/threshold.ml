@@ -112,20 +112,42 @@ let search_set ?probe_counter ~set ~probe () =
                candidate whose payload is in !best. *)
             let lo = ref (bits min_elt) and hi = ref (bits max_elt) in
             let best = ref (max_elt, top) in
+            (* [next]: the bits of the smallest candidate above value !lo
+               ([None] = not yet swept for this !lo). A midpoint below it
+               has no candidate in (value !lo, value mid], so its floor is
+               at most value !lo and the bracket moves to it without a
+               sweep. A midpoint at or above it snaps onto a candidate
+               above value !lo, which is probed. Only an infeasible probe
+               moves !lo onto a candidate and stales [next]: moving !lo to
+               a midpoint below [next], or !hi to a feasible candidate,
+               leaves the smallest candidate above !lo unchanged. *)
+            let next = ref None in
             while Int64.sub !hi !lo > 1L do
               let mid = Int64.add !lo (Int64.div (Int64.sub !hi !lo) 2L) in
-              match Candidates.Set.floor set (value mid) with
-              | None -> assert false (* min_elt <= value !lo < value mid *)
-              | Some c ->
-                if Int64.compare (bits c) !lo <= 0 then
-                  (* No candidate in (value !lo, value mid]. *)
-                  lo := mid
-                else (
+              let above =
+                match !next with
+                | Some b -> b
+                | None ->
+                  let b =
+                    match Candidates.Set.ceiling set (Float.succ (value !lo)) with
+                    | Some c -> bits c
+                    | None -> assert false (* value !hi is a candidate above it *)
+                  in
+                  next := Some b;
+                  b
+              in
+              if Int64.compare mid above < 0 then lo := mid
+              else
+                match Candidates.Set.floor set (value mid) with
+                | None -> assert false (* min_elt <= value !lo < value mid *)
+                | Some c -> (
                   match run c with
                   | Some payload ->
                     best := (c, payload);
                     hi := bits c
-                  | None -> lo := bits c)
+                  | None ->
+                    lo := bits c;
+                    next := None)
             done;
             finish !best))
   end

@@ -56,8 +56,12 @@ val search_set :
     binary search over IEEE-754 bit patterns — non-negative finite
     doubles order identically to their [Int64.bits_of_float] images —
     snapping each midpoint onto the set with {!Candidates.Set.floor}:
-    at most ~64 rounds of one O(n·|speeds|) floor plus at most one
-    probe, returning the exact smallest feasible candidate with no ε.
+    at most ~64 rounds of at most one O(n·|speeds|) sweep plus at most
+    one probe, returning the exact smallest feasible candidate with no
+    ε. A midpoint below the smallest candidate above the bracket's low
+    end (found with {!Candidates.Set.ceiling}, swept again only after
+    an infeasible probe) moves the bracket without a floor sweep, so
+    the probes are exactly those a floor at every midpoint would make.
     Lazy probes are counted in [model.threshold.lattice_probes]. *)
 
 val boundary :

@@ -90,8 +90,8 @@ let min_period ?(node_budget = 1_000_000) ?initial (inst : Instance.t) =
   (* Every completion's period is a max of interval cycle-times, i.e. a
      member of the finite candidate set — so any relaxation lower bound
      can be snapped up to the next achievable period (DESIGN.md §9). The
-     [tol] backoff covers the bounds' own rounding, mirroring the prune
-     test below. *)
+     [tol] backoff covers the bounds' own rounding. [snap] seeds the
+     incumbent probe; the prune test snaps with [prune_lower] below. *)
   let cands = Candidates.Set.of_engine (Cost.get app platform) in
   let snap lower =
     match Candidates.Set.ceiling cands (lower -. tol) with
@@ -107,8 +107,8 @@ let min_period ?(node_budget = 1_000_000) ?initial (inst : Instance.t) =
     first 0
   in
   (* Capacity + per-stage lower bounds on the suffix d..n, given the
-     node's free-processor pool and the max cycle fixed so far. *)
-  let suffix_lower node =
+     node's free-processor pool. *)
+  let relaxation node =
     let s_max = max_free_speed node.counts in
     if s_max = 0. then infinity
     else
@@ -117,7 +117,7 @@ let min_period ?(node_budget = 1_000_000) ?initial (inst : Instance.t) =
          interval's unavoidable input transfer plus its first stage.
          (Adding δ_in to the capacity bound would be wrong: the
          bottleneck interval need not be the one paying δ_in.) *)
-      List.fold_left Float.max node.current
+      List.fold_left Float.max neg_infinity
         [
           suffix_work.(node.d) /. node.sum_speed;
           suffix_max_work.(node.d) /. s_max;
@@ -125,13 +125,26 @@ let min_period ?(node_budget = 1_000_000) ?initial (inst : Instance.t) =
           +. (Application.work app node.d /. s_max);
         ]
   in
+  (* A bound no completion of [node] can go below, safe to compare
+     exactly: a completion's period is at least the max cycle fixed so
+     far (the same floats, no rounding), and it is a candidate at least
+     the relaxation — which [tol] backs off its own rounding before the
+     snap up to the candidate grid. A completion one ulp under the
+     incumbent therefore always survives the prune. *)
+  let prune_lower node =
+    let snapped =
+      match Candidates.Set.ceiling cands (relaxation node -. tol) with
+      | Some c -> c
+      | None -> infinity (* no candidate, hence no completion, above it *)
+    in
+    Float.max node.current snapped
+  in
   (* Ordered children of an interior node under pruning bound [bound]:
      speed classes fastest-first, interval ends ascending — the
      canonical branch order. [on_prune] sinks the two prune kinds
      (subtree bound, monotone e-loop cut-off). *)
   let children ~bound ~on_prune node =
-    let lower = snap (suffix_lower node) in
-    if lower >= bound -. tol then begin
+    if prune_lower node >= bound then begin
       on_prune ();
       [||]
     end
@@ -147,15 +160,15 @@ let min_period ?(node_budget = 1_000_000) ?initial (inst : Instance.t) =
           while (not !stop) && !e <= n do
             let work = Application.work_sum app node.d !e in
             (* Monotone part of the cycle: cut the whole e-loop once
-               input + compute alone exceed the bound. *)
-            if din +. (work /. s) >= bound -. tol then begin
+               input + compute alone reach the bound. *)
+            if din +. (work /. s) >= bound then begin
               on_prune ();
               stop := true
             end
             else begin
               let cycle = din +. (work /. s) +. (Application.delta app !e /. b) in
               let current' = Float.max node.current cycle in
-              if current' < bound -. tol then begin
+              if current' < bound then begin
                 let free' = Array.copy node.free in
                 let counts' = Array.copy node.counts in
                 free'.(c) <- List.tl node.free.(c);
@@ -198,7 +211,7 @@ let min_period ?(node_budget = 1_000_000) ?initial (inst : Instance.t) =
       sum_speed = root_sum;
     }
   in
-  let root_lb = snap (suffix_lower root) in
+  let root_lb = snap (relaxation root) in
   let seed =
     match Sp_mono_p.solve inst ~period:root_lb with
     | Some probe when probe.Solution.period < initial_solution.Solution.period ->
@@ -248,7 +261,7 @@ let min_period ?(node_budget = 1_000_000) ?initial (inst : Instance.t) =
         incr steps;
         task.nodes <- task.nodes + 1;
         if node.d > n then begin
-          if node.current < bound () -. tol then
+          if node.current < bound () then
             task.best <- Some (node.current, node.partial)
         end
         else begin

@@ -129,6 +129,10 @@ let canonical t (request : Instance.t) =
       with
       | Some slot ->
         t.app_hits <- t.app_hits + 1;
+        (* Cold requests may have pushed the slot's engine out of the
+           domain LRU; put it back, so the solvers' Cost.get finds it
+           rather than building a twin. *)
+        Cost.promote slot.engine;
         (slot, true)
       | None ->
         t.app_misses <- t.app_misses + 1;

@@ -48,7 +48,9 @@ type lookup = {
       (** the representative instance — solvers should use this, not the
           request's parse *)
   engine : Cost.t;
-      (** the warm engine (also resident in [Cost.get]'s domain LRU) *)
+      (** the warm engine, put back at the front of [Cost.get]'s domain
+          LRU on every hit ({!Pipeline_model.Cost.promote}), so the
+          solvers' [Cost.get] returns it *)
   platform_hit : bool;  (** platform fingerprint was cached *)
   app_hit : bool;  (** application fingerprint was cached under it *)
 }

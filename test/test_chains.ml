@@ -49,6 +49,41 @@ let prop_longest_fitting_correct =
       let maximal = e = Prefix.n p || Prefix.sum p 1 (e + 1) > budget -. 1e-9 in
       fits && maximal)
 
+(* The plain bisection over the whole tail that the galloping search
+   replaced. *)
+let reference_longest_fitting p ~from ~budget =
+  let fits e = Prefix.sum p from e <= budget in
+  let lo = ref (from - 1) and hi = ref (Prefix.n p) in
+  if fits !hi then !hi
+  else begin
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if fits mid then lo := mid else hi := mid
+    done;
+    !lo
+  end
+
+let gen_chain_with_zeros =
+  (* Runs of zero-work elements exercise the ties of a monotone but not
+     strictly monotone prefix. *)
+  QCheck2.Gen.(
+    list_size (int_range 1 40)
+      (frequency [ (1, pure 0.); (3, float_range 0. 20.); (1, map float_of_int (int_range 0 5)) ]))
+
+let prop_longest_fitting_gallop_equals_bisection =
+  Helpers.qtest ~count:300 "galloping longest_fitting = plain bisection, every from"
+    QCheck2.Gen.(pair gen_chain_with_zeros (float_range 0. 60.))
+    (fun (xs, budget) ->
+      let p = Prefix.make (Array.of_list xs) in
+      List.for_all
+        (fun from ->
+          List.for_all
+            (fun budget ->
+              Prefix.longest_fitting p ~from ~budget
+              = reference_longest_fitting p ~from ~budget)
+            [ budget; 0.; Prefix.sum p from (Prefix.n p) ])
+        (List.init (Prefix.n p) (fun i -> i + 1)))
+
 (* ------------------------------------------------------------------ *)
 (* Partition                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -127,14 +162,17 @@ let prop_capped_probe_equals_uncapped =
       | Some k -> capped = if k <= cap then Some k else None)
 
 let prop_feasible_agrees_with_min_intervals =
-  Helpers.qtest "feasible p <=> min_intervals <= p"
-    QCheck2.Gen.(triple gen_chain (int_range 1 8) (float_range 0. 60.))
-    (fun (xs, p, bound) ->
+  Helpers.qtest ~count:300 "feasible p <=> min_intervals <= p"
+    QCheck2.Gen.(
+      quad gen_chain_with_zeros (int_range 1 8) (float_range (-1.) 60.) (int_range 0 1000))
+    (fun (xs, p, bound, pick) ->
+      (* Suffix probes too, against the uncapped and the capped count. *)
       let prefix = Prefix.make (Array.of_list xs) in
-      Probe.feasible prefix ~p ~bound
-      = (match Probe.min_intervals prefix ~bound with
-        | Some k -> k <= p
-        | None -> false))
+      let from = 1 + (pick mod Prefix.n prefix) in
+      let within = function Some k -> k <= p | None -> false in
+      let feasible = Probe.feasible ~from prefix ~p ~bound in
+      feasible = within (Probe.min_intervals ~from prefix ~bound)
+      && feasible = within (Probe.min_intervals ~from ~cap:p prefix ~bound))
 
 let prop_probe_consistent_with_dp =
   Helpers.qtest "probe feasibility agrees with DP optimum"
@@ -487,6 +525,7 @@ let () =
           Alcotest.test_case "longest_fitting" `Quick test_longest_fitting;
           Alcotest.test_case "longest_fitting zeros" `Quick test_longest_fitting_zeros;
           prop_longest_fitting_correct;
+          prop_longest_fitting_gallop_equals_bisection;
           prop_max_from_equals_linear_scan;
         ] );
       ( "partition",

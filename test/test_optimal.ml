@@ -294,6 +294,28 @@ let prop_branch_bound_parallel_bit_identical =
               Stdlib.compare r1 r4 = 0 && Stdlib.compare r1 r8 = 0)
             [ 400; 1_000_000 ]))
 
+(* Instances whose optimum is one ulp below the mapping the search used
+   to prove optimal: it kept a leaf or child only when it beat the
+   incumbent by 1e-12, and cut subtrees whose lower bound sat within
+   1e-12 of it, so the proven optimum depended on the frontier cap. *)
+let test_branch_bound_one_ulp_optimum () =
+  List.iter
+    (fun (seed, n_max, p_max) ->
+      let inst = Helpers.random_instance ~n_max ~p_max seed in
+      let want = (Exhaustive.min_period inst).Solution.period in
+      List.iter
+        (fun cap ->
+          let r = with_tree_cap cap (fun () -> Branch_bound.min_period inst) in
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d cap %d proven" seed cap)
+            true r.Branch_bound.proven_optimal;
+          Alcotest.(check int64)
+            (Printf.sprintf "seed %d cap %d period, bitwise" seed cap)
+            (Int64.bits_of_float want)
+            (Int64.bits_of_float r.Branch_bound.solution.Solution.period))
+        [ 1; 512 ])
+    [ (314, 7, 5); (5388, 7, 5); (948, 9, 6) ]
+
 let prop_branch_bound_optimum_ignores_frontier =
   Helpers.qtest ~count:40
     "branch-bound: the optimum period is frontier-cap-invariant"
@@ -712,6 +734,8 @@ let () =
           Alcotest.test_case "rejects het" `Quick test_branch_bound_rejects_het;
           prop_branch_bound_parallel_bit_identical;
           prop_branch_bound_optimum_ignores_frontier;
+          Alcotest.test_case "one-ulp optimum proven" `Quick
+            test_branch_bound_one_ulp_optimum;
         ] );
       ( "exhaustive",
         [

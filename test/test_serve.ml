@@ -312,6 +312,30 @@ let test_cache_eviction () =
   let l2 = Cache.canonical cache (inst 2.) in
   Alcotest.(check bool) "LRU tail went first" false l2.Cache.platform_hit
 
+let test_cache_hit_reuses_engine () =
+  (* More cold platforms than Cost.get's domain LRU holds push the warm
+     slot's engine out of it; the next hit must hand that very engine to
+     the solvers' Cost.get instead of letting them build a twin. *)
+  let cache = Cache.create () in
+  let inst b =
+    Instance.make (Helpers.small_app ())
+      (Platform.comm_homogeneous ~bandwidth:b [| 2.; 4.; 1. |])
+  in
+  let warm = Cache.canonical cache (inst 1.) in
+  for b = 2 to 20 do
+    ignore (Cache.canonical cache (inst (float_of_int b)))
+  done;
+  let builds () = (Cost.cache_stats ()).Cost.engine_builds in
+  let before = builds () in
+  let hit = Cache.canonical cache (inst 1.) in
+  let rep = hit.Cache.instance in
+  let engine = Cost.get rep.Instance.app rep.Instance.platform in
+  Alcotest.(check bool) "slot hit" true hit.Cache.app_hit;
+  Alcotest.(check bool) "slot engine kept" true (hit.Cache.engine == warm.Cache.engine);
+  Alcotest.(check bool) "Cost.get returns the slot's engine" true
+    (engine == hit.Cache.engine);
+  Alcotest.(check int) "no engine built" before (builds ())
+
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -911,6 +935,8 @@ let () =
           Alcotest.test_case "hit/miss and canonicalisation" `Quick
             test_cache_hits_and_canonicalisation;
           Alcotest.test_case "LRU eviction" `Quick test_cache_eviction;
+          Alcotest.test_case "slot hit reuses its engine" `Quick
+            test_cache_hit_reuses_engine;
         ] );
       ( "protocol",
         [

@@ -385,6 +385,152 @@ let prop_het_row_threshold_sound =
            Registry.het))
 
 (* ------------------------------------------------------------------ *)
+(* Lattice kernels and the skipping bisection vs their references      *)
+(* ------------------------------------------------------------------ *)
+
+(* The per-element lattice sweeps that Cost.config_floor/config_ceiling
+   replaced: one checked, boxed Cost.config_cycle per comparison, per
+   config, and folded over the configs as Candidates.Set did. *)
+let reference_config_floor cost cf v =
+  let n = Application.n (Cost.application cost) in
+  let best = ref None and e = ref 0 in
+  for d = 1 to n do
+    if !e < d - 1 then e := d - 1;
+    while !e < n && Cost.config_cycle cost ~d ~e:(!e + 1) cf <= v do
+      incr e
+    done;
+    if !e >= d then begin
+      let c = Cost.config_cycle cost ~d ~e:!e cf in
+      match !best with Some b when b >= c -> () | _ -> best := Some c
+    end
+  done;
+  !best
+
+let reference_config_ceiling cost cf v =
+  let n = Application.n (Cost.application cost) in
+  let best = ref None and e = ref 1 in
+  (try
+     for d = 1 to n do
+       if !e < d then e := d;
+       while !e <= n && Cost.config_cycle cost ~d ~e:!e cf < v do
+         incr e
+       done;
+       if !e > n then raise Exit;
+       let c = Cost.config_cycle cost ~d ~e:!e cf in
+       match !best with Some b when b <= c -> () | _ -> best := Some c
+     done
+   with Exit -> ());
+  !best
+
+let fold_configs pick row cost v =
+  Array.fold_left
+    (fun acc cf ->
+      match (acc, row cost cf v) with
+      | Some b, Some c -> Some (pick b c)
+      | None, c | c, None -> c)
+    None (Cost.candidate_configs cost)
+
+let reference_floor cost v = fold_configs Float.max reference_config_floor cost v
+let reference_ceiling cost v = fold_configs Float.min reference_config_ceiling cost v
+
+(* Candidates (every one on small sets, an even spread of about 40 on
+   large ones), the floats either side of each, the midpoints to their
+   successors, and points past both ends. *)
+let query_points cands =
+  let count = Array.length cands in
+  let last = count - 1 and stride = 1 + (count / 40) in
+  (cands.(0) /. 2.) :: (cands.(last) *. 2.)
+  :: List.concat
+       (List.init
+          ((count + stride - 1) / stride)
+          (fun k ->
+            let i = k * stride in
+            let c = cands.(i) in
+            let between = if i < last then [ (c +. cands.(i + 1)) /. 2. ] else [] in
+            [ c; Float.pred c; Float.succ c ] @ between))
+
+let gen_lattice_engine =
+  (* Uniform-delta comm-hom and fully-het draws, memoised or not. *)
+  QCheck2.Gen.(
+    map3
+      (fun het memo seed ->
+        let inst =
+          if het then Helpers.random_uniform_delta_het_instance ~n_max:14 ~p_max:4 seed
+          else Helpers.random_uniform_delta_instance ~n_max:14 ~p_max:5 seed
+        in
+        Cost.make ~memo inst.Instance.app inst.Instance.platform)
+      bool bool gen_seed)
+
+let bits = Option.map Int64.bits_of_float
+
+let prop_lattice_kernels_match_reference =
+  Helpers.qtest ~count:200 "lattice floor/ceiling = per-element sweep, bitwise"
+    gen_lattice_engine (fun cost ->
+      let set = Candidates.Set.of_engine ~max_materialised:0 cost in
+      let some none x = if x = none then None else Some x in
+      Candidates.Set.is_lazy set
+      && List.for_all
+           (fun v ->
+             bits (Candidates.Set.floor set v) = bits (reference_floor cost v)
+             && bits (Candidates.Set.ceiling set v) = bits (reference_ceiling cost v)
+             && Array.for_all
+                  (fun cf ->
+                    bits (some neg_infinity (Cost.config_floor cost cf v))
+                    = bits (reference_config_floor cost cf v)
+                    && bits (some infinity (Cost.config_ceiling cost cf v))
+                       = bits (reference_config_ceiling cost cf v))
+                  (Cost.candidate_configs cost))
+           (query_points (Candidates.periods cost)))
+
+(* The lazy branch of Threshold.search_set before it skipped sweeps:
+   every midpoint snapped down with Set.floor. *)
+let reference_search_set ~set ~probe =
+  match (Candidates.Set.min_elt set, Candidates.Set.max_elt set) with
+  | Some min_elt, Some max_elt when probe max_elt <> None ->
+    if min_elt <> max_elt && probe min_elt = None then begin
+      let bits = Int64.bits_of_float and value = Int64.float_of_bits in
+      let lo = ref (bits min_elt) and hi = ref (bits max_elt) in
+      while Int64.sub !hi !lo > 1L do
+        let mid = Int64.add !lo (Int64.div (Int64.sub !hi !lo) 2L) in
+        match Candidates.Set.floor set (value mid) with
+        | None -> assert false
+        | Some c ->
+          if Int64.compare (bits c) !lo <= 0 then lo := mid
+          else if probe c <> None then hi := bits c
+          else lo := bits c
+      done
+    end
+  | _ -> ()
+
+let prop_search_set_probe_sequence =
+  Helpers.qtest ~count:200 "search_set probes = reference loop's probes"
+    QCheck2.Gen.(pair gen_lattice_engine (float_range 0. 1.))
+    (fun (cost, frac) ->
+      let set = Candidates.Set.of_engine ~max_materialised:0 cost in
+      let cands = Candidates.periods cost in
+      let points = Array.of_list (query_points cands) in
+      let cutoff =
+        points.(min (Array.length points - 1)
+                  (int_of_float (frac *. float_of_int (Array.length points))))
+      in
+      let recording () =
+        let log = ref [] in
+        let probe v =
+          log := Int64.bits_of_float v :: !log;
+          if v >= cutoff then Some v else None
+        in
+        (log, probe)
+      in
+      let got, probe = recording () in
+      let found = Threshold.search_set ~set ~probe () in
+      let want, probe = recording () in
+      reference_search_set ~set ~probe;
+      !got = !want
+      && (match found with
+         | None -> true
+         | Some f -> f.Threshold.probes = List.length !got))
+
+(* ------------------------------------------------------------------ *)
 (* Failure thresholds: exact boundary on the candidate grid            *)
 (* ------------------------------------------------------------------ *)
 
@@ -514,6 +660,8 @@ let () =
           prop_het_lazy_set_matches_array;
           prop_het_row_threshold_sound;
         ] );
+      ( "lattice-kernels",
+        [ prop_lattice_kernels_match_reference; prop_search_set_probe_sequence ] );
       ("failure-boundary", [ prop_failure_threshold_sound ]);
       ("sp-bi-p", [ prop_sp_bi_p_unchanged ]);
       ( "bisect",
